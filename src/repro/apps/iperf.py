@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.net.host import Host
 from repro.net.topology import Fabric, Testbed
+from repro.sim.engine import Simulator
 from repro.sim.timer import PeriodicTimer
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
@@ -283,24 +284,61 @@ class IperfSession:
         )
 
 
+#: stuck flow ids a loop error lists before it only counts the rest
+STUCK_IDS_SHOWN = 5
+
+
+def _stuck_flows(senders: Sequence[TcpSender]) -> str:
+    stuck = [s.flow_id for s in senders if not s.complete]
+    ids = ", ".join(str(i) for i in stuck[:STUCK_IDS_SHOWN])
+    more = ", ..." if len(stuck) > STUCK_IDS_SHOWN else ""
+    return f"{len(stuck)} of {len(senders)} flows [{ids}{more}]"
+
+
+def step_until_complete(
+    sim: Simulator,
+    senders: Sequence[TcpSender],
+    time_limit_s: float,
+    label: str,
+) -> None:
+    """Step ``sim`` until every sender's transfer is fully acknowledged.
+
+    Every experiment's measurement window ends here. Completion hooks
+    count the open flows down (they schedule nothing), so no flow is
+    re-read per event. Raises :class:`ExperimentError` naming ``label``
+    and the stuck flows if virtual time passes ``time_limit_s`` or the
+    queue drains first: a stuck run must not return bogus energy.
+    """
+    remaining = 0
+
+    def _done(_t: float) -> None:
+        nonlocal remaining
+        remaining -= 1
+
+    for sender in senders:
+        if not sender.complete:
+            remaining += 1
+            sender.on_complete(_done)
+    while remaining:
+        if sim.now > time_limit_s:
+            raise ExperimentError(
+                f"{label}: {_stuck_flows(senders)} incomplete after "
+                f"{time_limit_s}s virtual"
+            )
+        if not sim.step():
+            raise ExperimentError(
+                f"{label}: event queue drained with {_stuck_flows(senders)} "
+                f"incomplete"
+            )
+
+
 def run_until_complete(
-    testbed: Testbed,
+    testbed: Union[Testbed, Fabric],
     sessions: List[IperfSession],
     time_limit_s: float = 600.0,
 ) -> List[IperfResult]:
-    """Drive the simulator until every session completes.
-
-    Raises :class:`ExperimentError` if the time limit passes first (a
-    stuck experiment should fail loudly, not return bogus energy).
-    """
-    sim = testbed.sim
-    while not all(s.complete for s in sessions):
-        if sim.now > time_limit_s:
-            stuck = [s.flow_id for s in sessions if not s.complete]
-            raise ExperimentError(
-                f"flows {stuck} incomplete after {time_limit_s}s of virtual time"
-            )
-        if not sim.step():
-            stuck = [s.flow_id for s in sessions if not s.complete]
-            raise ExperimentError(f"event queue drained with flows {stuck} stuck")
+    """Run every session to completion (:func:`step_until_complete`)."""
+    step_until_complete(
+        testbed.sim, [s.sender for s in sessions], time_limit_s, "iperf"
+    )
     return [s.result() for s in sessions]

@@ -61,12 +61,15 @@ class Watcher:
     This is ``obs watch`` plus a Prometheus scraper, concentrated: poll
     the journal partials as fast as they appear, keep snapshots, and
     hit ``/progress`` and ``/metrics`` over real HTTP the whole time.
+    ``__enter__`` returns only once one poll and one scrape completed,
+    so even a sweep that finishes in milliseconds is watched.
     """
 
     def __init__(self, trace):
         self.trace = trace
         self.snapshots = []
         self.scrapes = 0
+        self.ready = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -85,6 +88,7 @@ class Watcher:
                         ) as response:
                             response.read()
                     self.scrapes += 1
+                    self.ready.set()
                 except urllib.error.URLError:
                     pass
                 time.sleep(0.01)
@@ -97,6 +101,9 @@ class Watcher:
 
     def __enter__(self):
         self._thread.start()
+        if not self.ready.wait(timeout=30):
+            self.__exit__()
+            raise AssertionError("watcher never completed a poll and scrape")
         return self
 
     def __exit__(self, *exc):

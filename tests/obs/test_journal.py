@@ -132,5 +132,17 @@ class TestMerge:
         merged = merge_worker_journals(tmp_path)
         assert [e["event"] for e in merged] == ["run_finished", "span"]
 
+    def test_item_less_events_interleave_by_position_across_files(
+        self, tmp_path
+    ):
+        # The per-file position tie-break: the n-th item-less event of
+        # every partial sorts before any partial's (n+1)-th.
+        for wid in (1, 2):
+            with JournalWriter(tmp_path / f"worker-{wid}.jsonl", worker=wid) as j:
+                j.write("span", phase=f"a{wid}")
+                j.write("span", phase=f"b{wid}")
+        merged = merge_worker_journals(tmp_path)
+        assert [e["phase"] for e in merged] == ["a1", "a2", "b1", "b2"]
+
     def test_volatile_fields_are_the_documented_set(self):
         assert VOLATILE_FIELDS == {"t_wall", "worker", "wall_s", "events_per_s"}

@@ -1,10 +1,18 @@
-"""Telemetry persistence: JSONL round-trips, merge order, read errors."""
+"""Telemetry and profile persistence: JSONL round-trips, merge order,
+read errors."""
 
 import json
 
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.profile import (
+    PROFILE_FILENAME,
+    ProfileWriter,
+    canonicalize_profile,
+    merge_worker_profiles,
+    read_profile,
+)
 from repro.obs.telemetry import (
     TELEMETRY_FILENAME,
     TelemetryWriter,
@@ -131,6 +139,55 @@ class TestMergeWorkerTelemetry:
         self.write_partial(tmp_path, 0, "s", 0)
         merge_worker_telemetry(tmp_path, remove_partials=False)
         assert len(list(tmp_path.glob("telemetry-worker-*.jsonl"))) == 1
+
+
+class TestMergeWorkerProfiles:
+    def write_partial(self, trace, wid, runs):
+        with ProfileWriter(trace / f"profile-worker-{wid}.jsonl") as writer:
+            for scenario, seed in runs:
+                writer.write_record(profile_record(scenario, seed))
+
+    def test_merges_sorted_into_the_writer_and_removes_partials(
+        self, tmp_path
+    ):
+        self.write_partial(tmp_path, 0, [("zeta", 1), ("alpha", 2)])
+        self.write_partial(tmp_path, 1, [("alpha", 0), ("zeta", 0)])
+        with ProfileWriter(tmp_path / PROFILE_FILENAME) as writer:
+            merged = merge_worker_profiles(tmp_path, into=writer)
+        assert [(r["scenario"], r["seed"]) for r in merged] == [
+            ("alpha", 0), ("alpha", 2), ("zeta", 0), ("zeta", 1),
+        ]
+        assert list(tmp_path.glob("profile-worker-*.jsonl")) == []
+        assert read_profile(tmp_path) == merged
+
+    def test_no_partials_is_a_noop(self, tmp_path):
+        assert merge_worker_profiles(tmp_path) == []
+
+    def test_keep_partials_when_asked(self, tmp_path):
+        self.write_partial(tmp_path, 0, [("s", 0)])
+        merged = merge_worker_profiles(tmp_path, remove_partials=False)
+        assert len(merged) == 1
+        assert len(list(tmp_path.glob("profile-worker-*.jsonl"))) == 1
+        assert not (tmp_path / PROFILE_FILENAME).exists()
+
+    def test_canonicalize_sorts_the_closed_file(self, tmp_path):
+        self.write_partial(tmp_path, 0, [("zeta", 0), ("alpha", 1)])
+        path = tmp_path / "profile-worker-0.jsonl"
+        path.rename(tmp_path / PROFILE_FILENAME)
+        assert canonicalize_profile(tmp_path) == 2
+        assert [r["scenario"] for r in read_profile(tmp_path)] == [
+            "alpha", "zeta",
+        ]
+
+
+def profile_record(scenario, seed):
+    return {
+        "scenario": scenario,
+        "seed": seed,
+        "counts": {"events": seed},
+        "stack_calls": {"sim": 1},
+        "stack_wall_s": {"sim": 0.5},
+    }
 
 
 class TestCanonicalize:
