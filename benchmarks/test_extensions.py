@@ -69,11 +69,11 @@ def test_srpt_transport_energy(benchmark):
     # Fair sharing is the energy-worst schedule; in-network SRPT
     # (pFabric) recovers most of the serialized ideal's saving while
     # also improving mean FCT.
-    assert result.energy_savings_vs_fair("pfabric") > 0.05
+    assert result.energy_savings_vs_fair("srpt") > 0.05
     assert result.energy_savings_vs_fair("serialized") > result.energy_savings_vs_fair(
-        "pfabric"
+        "srpt"
     ) - 0.05
-    assert result.fct_speedup_vs_fair("pfabric") > 1.2
+    assert result.fct_speedup_vs_fair("srpt") > 1.2
 
 
 def test_incast_energy(benchmark):

@@ -27,8 +27,9 @@ def test_savings_extrapolation(benchmark):
             "fsti",
             flows=[
                 FlowSpec(TWO_FLOW_BYTES, cca="cubic"),
-                FlowSpec(TWO_FLOW_BYTES, cca="cubic", after_flow=0),
+                FlowSpec(TWO_FLOW_BYTES, cca="cubic"),
             ],
+            policy="serialized",
         )
         return (
             run_repeated(fair, repetitions=BENCH_REPS),

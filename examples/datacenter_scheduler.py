@@ -22,14 +22,17 @@ def simulate(schedule: str) -> float:
     if schedule == "fair":
         # Plain TCP: all flows compete, each gets ~C/n, and capacity is
         # reallocated as flows finish — processor sharing in practice.
-        flows = [FlowSpec(size, cca="cubic") for size in sizes]
-    else:  # serialized, shortest first (SRPT)
-        flows = []
-        for i, size in enumerate(sorted(sizes)):
-            flows.append(
-                FlowSpec(size, cca="cubic", after_flow=i - 1 if i else None)
-            )
-    scenario = Scenario(f"batch-{schedule}", flows=flows)
+        scenario = Scenario(
+            "batch-fair", flows=[FlowSpec(size, cca="cubic") for size in sizes]
+        )
+    else:
+        # Serialized shortest first (SRPT): the serialized policy chains
+        # the flows in declaration order, so declare them sorted.
+        scenario = Scenario(
+            "batch-srpt",
+            flows=[FlowSpec(size, cca="cubic") for size in sorted(sizes)],
+            policy="serialized",
+        )
     return run_once(scenario, seed=3).energy_j
 
 

@@ -27,8 +27,9 @@ def main() -> None:
         "full-speed-then-idle",
         flows=[
             FlowSpec(TRANSFER_BYTES, cca="cubic"),
-            FlowSpec(TRANSFER_BYTES, cca="cubic", after_flow=0),
+            FlowSpec(TRANSFER_BYTES, cca="cubic"),
         ],
+        policy="serialized",  # flow 2 starts when flow 1 finishes
     )
 
     print(f"{'schedule':<22} {'energy':>9} {'duration':>9} {'avg power':>10}")

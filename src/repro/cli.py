@@ -75,13 +75,14 @@ def _policies(args: argparse.Namespace) -> Optional[List[str]]:
     """Canonical, deduplicated policy names from ``--policy`` flags.
 
     ``None`` when the user gave no flag, so each figure keeps its own
-    classic default arms. ``all`` expands to the whole registry;
-    retired spellings resolve through the aliases (with their
-    deprecation warning).
+    classic default arms. ``all`` expands to the whole registry. An
+    unknown name is a usage error: it is printed to stderr and the
+    process exits with status 2, before any run starts.
     """
     values = getattr(args, "policies", None)
     if not values:
         return None
+    from repro.errors import ExperimentError
     from repro.sched import policy_names, resolve_policy_name
 
     names: List[str] = []
@@ -92,8 +93,12 @@ def _policies(args: argparse.Namespace) -> Optional[List[str]]:
                 continue
             if part.lower() == "all":
                 names.extend(policy_names())
-            else:
+                continue
+            try:
                 names.append(resolve_policy_name(part))
+            except ExperimentError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                raise SystemExit(2) from None
     return list(dict.fromkeys(names)) or None
 
 
@@ -782,17 +787,12 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
-    from repro.sched import POLICY_ALIASES, get_policy, policy_names
+    from repro.sched import get_policy, policy_names
 
     names = policy_names()
     width = max(len(name) for name in names)
     for name in names:
         print(f"{name:<{width}}  {get_policy(name).description}")
-    if POLICY_ALIASES:
-        spellings = ", ".join(
-            f"{old} -> {new}" for old, new in sorted(POLICY_ALIASES.items())
-        )
-        print(f"\nretired spellings (deprecated): {spellings}")
     return 0
 
 

@@ -12,8 +12,7 @@ scheduling policy (default: the classic three-way comparison):
   sharing, the energy-worst case by Theorem 1;
 * **srpt** — priority bottleneck (packets carry remaining-bytes
   priority) with line-rate senders, all flows start together: the
-  *network* enforces SRPT with no end-host coordination (pFabric; the
-  retired "pfabric" spelling aliases here);
+  *network* enforces SRPT with no end-host coordination (pFabric);
 * **serialized** — application-level SRPT (each flow starts when its
   predecessor completes): the full-speed-then-idle ideal.
 
@@ -33,13 +32,12 @@ from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import RunMeasurement, run_once
-from repro.sched import PFABRIC_WINDOW_SEGMENTS, resolve_policy_name
+from repro.sched import resolve_policy_name
 from repro.units import to_msec
 
 __all__ = [
     "DEFAULT_BATCH",
     "DEFAULT_POLICIES",
-    "PFABRIC_WINDOW_SEGMENTS",  # re-exported; canonical home is repro.sched
     "SrptPoint",
     "SrptResult",
     "run_srpt_comparison",
@@ -80,7 +78,7 @@ class SrptResult:
     batch: Sequence[int]
 
     def point(self, schedule: str) -> SrptPoint:
-        """One policy's point; retired spellings resolve via aliases."""
+        """One policy's point, by any spelling of its registry name."""
         name = resolve_policy_name(schedule)
         if name not in self.points:
             ran = ", ".join(sorted(self.points))

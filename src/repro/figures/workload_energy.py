@@ -65,7 +65,7 @@ class WorkloadEnergyResult:
     points: Dict[str, WorkloadPoint]
 
     def point(self, schedule: str) -> WorkloadPoint:
-        """One policy's point; retired spellings resolve via aliases."""
+        """One policy's point, by any spelling of its registry name."""
         name = resolve_policy_name(schedule)
         if name not in self.points:
             ran = ", ".join(sorted(self.points))

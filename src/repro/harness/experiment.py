@@ -9,9 +9,7 @@ how the energy window is measured. The runner
 
 from __future__ import annotations
 
-import functools
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
@@ -21,68 +19,6 @@ from repro.sched.registry import resolve_policy_name
 from repro.units import msec, usec
 
 
-def _keyword_only_after_first(cls):
-    """Deprecate positional construction beyond the first field.
-
-    ``Scenario`` and ``FlowSpec`` have grown 8+ optional fields; calls
-    like ``FlowSpec(1_000_000, "cubic", None, 0.0)`` are unreadable and
-    break silently when a field is inserted. Everything after the first
-    positional field becomes keyword-only after one release; until then
-    positional use emits a :class:`DeprecationWarning`.
-    """
-    original_init = cls.__init__
-    first_field = next(iter(cls.__dataclass_fields__))
-
-    @functools.wraps(original_init)
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        if len(args) > 1:
-            warnings.warn(
-                f"passing {cls.__name__} fields beyond {first_field!r} "
-                f"positionally is deprecated and will become an error in "
-                f"the next release; use keyword arguments",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        original_init(self, *args, **kwargs)
-
-    cls.__init__ = __init__
-    return cls
-
-
-def _accepts_deprecated_mode(cls):
-    """Accept the retired ``mode=`` spelling as ``policy=`` (shim).
-
-    ``FabricScenario.mode`` predates the :mod:`repro.sched` registry;
-    its two spellings ("fair"/"serialized") are canonical policy names,
-    so the shim forwards them verbatim and warns. Removed after one
-    release.
-    """
-    original_init = cls.__init__
-
-    @functools.wraps(original_init)
-    def __init__(
-        self, *args: Any, mode: Optional[str] = None, **kwargs: Any
-    ) -> None:
-        if mode is not None:
-            warnings.warn(
-                f"{cls.__name__}(mode=...) is deprecated and will be "
-                f"removed in the next release; use policy= (registry "
-                f"names from repro.sched)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if "policy" in kwargs:
-                raise ExperimentError(
-                    "pass policy= or the deprecated mode=, not both"
-                )
-            kwargs["policy"] = mode
-        original_init(self, *args, **kwargs)
-
-    cls.__init__ = __init__
-    return cls
-
-
-@_keyword_only_after_first
 @dataclass
 class FlowSpec:
     """One flow of a scenario."""
@@ -91,11 +27,9 @@ class FlowSpec:
     cca: str = "cubic"
     #: iperf3 -b style application rate cap; None = unlimited
     target_rate_bps: Optional[float] = None
-    #: virtual start time; ignored when ``after_flow`` is set
+    #: virtual start time (a policy that defers the flow may start it
+    #: later, never earlier)
     start_time_s: float = 0.0
-    #: index of a flow in the same scenario that must *complete* before
-    #: this one starts (the full-speed-then-idle chaining)
-    after_flow: Optional[int] = None
     #: index of a flow whose completion lifts this flow's rate cap
     #: (Fig. 1: the capped flow "uses the rest of the link" afterwards)
     uncap_after: Optional[int] = None
@@ -113,7 +47,6 @@ class FlowSpec:
             raise ExperimentError(f"flow size must be > 0, got {self.total_bytes}")
 
 
-@_keyword_only_after_first
 @dataclass
 class Scenario:
     """A full measured experiment."""
@@ -148,9 +81,8 @@ class Scenario:
     #: stamp INT at the bottleneck (required by hpcc)
     int_telemetry: bool = False
     #: scheduling policy (a :mod:`repro.sched` registry name). None
-    #: keeps the declared flows exactly as written (legacy
-    #: ``after_flow`` chains included); a name hands admit/defer and
-    #: network-hint decisions to that policy at run time
+    #: starts the declared flows exactly as written; a name hands
+    #: admit/defer and network-hint decisions to that policy at run time
     policy: Optional[str] = None
     #: the workload's offered load fraction, if known; a policy input
     #: (``load-adaptive`` shares above its threshold). None = closed
@@ -161,17 +93,8 @@ class Scenario:
         if not self.flows:
             raise ExperimentError(f"scenario {self.name!r} has no flows")
         if self.policy is not None:
-            # Canonicalize so aliases hash identically in cache keys.
+            # Canonicalize so spellings hash identically in cache keys.
             self.policy = resolve_policy_name(self.policy)
-            conflicted = [
-                i for i, f in enumerate(self.flows) if f.after_flow is not None
-            ]
-            if conflicted:
-                raise ExperimentError(
-                    f"scenario {self.name!r} declares after_flow chains on "
-                    f"flows {conflicted} AND policy={self.policy!r}; the "
-                    f"policy owns admit/defer decisions — drop one"
-                )
         if self.offered_load is not None and self.offered_load < 0:
             raise ExperimentError(
                 f"offered load must be >= 0, got {self.offered_load}"
@@ -181,11 +104,9 @@ class Scenario:
                 f"background load must be in [0, 1], got {self.background_load}"
             )
         baselines = sum(1 for f in self.flows if f.cca == "baseline")
-        concurrent = sum(1 for f in self.flows if f.after_flow is None)
         if (
             baselines
             and len(self.flows) > 1
-            and concurrent > 1
             and self.bottleneck_discipline != "priority"
             # A policy owns the discipline at run time (srpt pairs the
             # baseline CCA with a priority bottleneck itself).
@@ -200,14 +121,14 @@ class Scenario:
                 "other flows (paper footnote 2)"
             )
         for i, flow in enumerate(self.flows):
-            if flow.after_flow is not None and not (
-                0 <= flow.after_flow < len(self.flows)
+            if flow.uncap_after is not None and not (
+                0 <= flow.uncap_after < len(self.flows)
             ):
                 raise ExperimentError(
-                    f"flow {i} chains after nonexistent flow {flow.after_flow}"
+                    f"flow {i} uncaps after nonexistent flow {flow.uncap_after}"
                 )
-            if flow.after_flow == i:
-                raise ExperimentError(f"flow {i} cannot chain after itself")
+            if flow.uncap_after == i:
+                raise ExperimentError(f"flow {i} cannot uncap after itself")
 
     def with_name(self, name: str) -> "Scenario":
         """A copy under a different name."""
@@ -232,8 +153,6 @@ class Scenario:
         )
 
 
-@_accepts_deprecated_mode
-@_keyword_only_after_first
 @dataclass
 class FabricScenario:
     """A fleet-scale experiment: one CCA over a multi-switch fabric.
@@ -251,8 +170,7 @@ class FabricScenario:
     #: contention); "serialized" chains each source host's flows so at
     #: most one runs per host at a time (full-speed-then-idle,
     #: fleet-wide); "srpt"/"deadline"/"load-adaptive" as documented in
-    #: docs/scheduling.md. The retired ``mode=`` spelling still maps
-    #: here with a DeprecationWarning.
+    #: docs/scheduling.md
     policy: str = "fair"
     n_flows: int = 1000
     mix: str = "datacenter"
@@ -285,7 +203,7 @@ class FabricScenario:
     deadline_slack: float = 4.0
 
     def __post_init__(self) -> None:
-        # Canonicalize so aliases hash identically in cache keys.
+        # Canonicalize so spellings hash identically in cache keys.
         self.policy = resolve_policy_name(self.policy)
         if self.deadline_slack < 1.0:
             raise ExperimentError(
@@ -335,52 +253,31 @@ def scenario_from_plan(
     name: str,
     plan: AllocationPlan,
     cca: str = "cubic",
-    serialize_extreme: Optional[bool] = None,
     *,
     policy: Optional[str] = None,
     **kwargs,
 ) -> Scenario:
     """Build a scenario from a :class:`~repro.core.allocation.AllocationPlan`.
 
-    The full-speed-then-idle plan is realized with completion chaining
-    (flow i+1 starts when flow i finishes) rather than nominal start
-    times, matching how the paper runs it (the second flow starts when
-    the first ends, whatever the actual first-flow FCT was).
-
-    ``policy=`` hands that chaining decision to a :mod:`repro.sched`
-    registry policy instead of baking ``after_flow`` chains into the
-    flow specs — the ``serialized`` policy reproduces the legacy
-    chaining bit-for-bit. ``serialize_extreme`` is the deprecated
-    spelling of that choice (True == ``policy="serialized"`` for
-    full-speed-then-idle plans) and warns when passed explicitly.
+    The full-speed-then-idle plan runs under the ``serialized`` policy
+    unless ``policy=`` names another: flow i+1 starts when flow i
+    finishes, matching how the paper runs it (the second flow starts
+    when the first ends, whatever the actual first-flow FCT was), so
+    its flows are declared at time zero rather than at nominal starts.
     """
-    if serialize_extreme is not None:
-        warnings.warn(
-            "serialize_extreme= is deprecated and will be removed in the "
-            "next release; pass policy='serialized' (or policy='fair' "
-            "for serialize_extreme=False) instead",
-            DeprecationWarning,
-            stacklevel=2,
+    if plan.name == FSTI_PLAN_NAME:
+        policy = policy or "serialized"
+        starts = [0.0] * len(plan.flows)
+    else:
+        starts = [flow_plan.start_time_s for flow_plan in plan.flows]
+    flows = [
+        FlowSpec(
+            total_bytes=flow_plan.total_bytes,
+            cca=cca,
+            target_rate_bps=flow_plan.target_rate_bps,
+            start_time_s=start,
+            uncap_after=flow_plan.uncap_after,
         )
-        if policy is not None:
-            raise ExperimentError(
-                "pass policy= or the deprecated serialize_extreme=, not both"
-            )
-    flows = []
-    serialized = plan.name == FSTI_PLAN_NAME and (
-        policy is not None or serialize_extreme is None or serialize_extreme
-    )
-    for i, flow_plan in enumerate(plan.flows):
-        flows.append(
-            FlowSpec(
-                total_bytes=flow_plan.total_bytes,
-                cca=cca,
-                target_rate_bps=flow_plan.target_rate_bps,
-                start_time_s=0.0 if serialized else flow_plan.start_time_s,
-                after_flow=(
-                    (i - 1) if serialized and policy is None and i > 0 else None
-                ),
-                uncap_after=flow_plan.uncap_after,
-            )
-        )
+        for flow_plan, start in zip(plan.flows, starts)
+    ]
     return Scenario(name=name, flows=flows, policy=policy, **kwargs)

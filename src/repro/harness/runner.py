@@ -146,7 +146,7 @@ def _build_testbed(
 
 
 def _plan_for(scenario: Scenario) -> Optional[SchedulePlan]:
-    """The scenario's policy plan, or None for legacy declared flows.
+    """The scenario's policy plan, or None when the flows run as declared.
 
     Planning happens before the testbed exists, so the context carries
     the testbed's *configured* bottleneck rate (the default dumbbell's
@@ -204,17 +204,14 @@ def _prepare_run(scenario: Scenario, seed: int, sim: Simulator) -> "_Built":
             model.set_background_load(scenario.background_load)
 
     def _after_index(i: int) -> Optional[int]:
-        if plan is not None:
-            return plan.schedule_for(i).after_index
-        return scenario.flows[i].after_flow
+        return None if plan is None else plan.schedule_for(i).after_index
 
     jitter_rng = rngs.stream("start-jitter")
     sessions: List[IperfSession] = []
     for i, flow in enumerate(scenario.flows):
         if _after_index(i) is not None:
-            # Deferred flows draw no jitter (a chained start replaces
-            # the arrival entirely) — identical stream consumption to
-            # the legacy after_flow path.
+            # Deferred flows draw no jitter: a chained start replaces
+            # the arrival entirely.
             start: Optional[float] = None
         else:
             start = flow.start_time_s + jitter_rng.uniform(
@@ -250,7 +247,7 @@ def _prepare_run(scenario: Scenario, seed: int, sim: Simulator) -> "_Built":
         if after is not None:
             successor = sessions[i]
             arrival = flow.start_time_s
-            if plan is not None and arrival > 0.0:
+            if arrival > 0.0:
                 # Open-workload chaining: never start a flow before its
                 # own arrival (the fabric runner's exact semantics).
                 sessions[after].sender.on_complete(

@@ -125,7 +125,7 @@ class MissingFutureAnnotations(Rule):
 #: scheduling-policy names whose string comparison means mode-branching
 _SCHED_LITERALS = frozenset({"fair", "serialized", "srpt"})
 
-#: the policy subsystem itself (registry, aliases, policy classes) may
+#: the policy subsystem itself (registry, policy classes) may
 #: of course name its own policies
 _SCHED_PACKAGE_DIR = "sched"
 

@@ -2,7 +2,7 @@
 
 The paper's core claim — serializing flows instead of fair-sharing them
 can cut energy 5–20 % — used to be hardwired as scattered knobs (a
-fabric ``mode`` string, ``after_flow`` chaining, a disjoint "srpt"
+fabric ``mode`` string, per-flow completion chains, a disjoint "srpt"
 priority-qdisc path). This package makes serialize-vs-share a
 first-class *policy* decision:
 
@@ -41,7 +41,6 @@ from repro.sched.policies import (
     SrptPolicy,
 )
 from repro.sched.registry import (
-    POLICY_ALIASES,
     get_policy,
     policy_names,
     register_policy,
@@ -61,7 +60,6 @@ __all__ = [
     "DeadlinePolicy",
     "LoadAdaptivePolicy",
     "PFABRIC_WINDOW_SEGMENTS",
-    "POLICY_ALIASES",
     "get_policy",
     "policy_names",
     "register_policy",

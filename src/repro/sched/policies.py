@@ -4,10 +4,8 @@ Each policy is a pure planner: it looks at the batch's flow requests
 and the :class:`~repro.sched.policy.SchedulingContext` and answers
 admit/defer per flow (plus, for ``srpt`` on priority-capable testbeds,
 network-level hints). The harness realizes the plan with the same
-completion-chaining mechanics the pre-registry ad-hoc paths used, so
-``fair`` and ``serialized`` reproduce the old ``mode=`` arms
-bit-for-bit — the policies are where the *decisions* moved, not the
-physics.
+completion-chaining mechanics for every policy — the policies are
+where the *decisions* live, not the physics.
 """
 
 from __future__ import annotations
@@ -48,10 +46,8 @@ def _meets(completion_s: float, deadline_s: float) -> bool:
 def _serial_after(requests: Sequence[FlowRequest]) -> List[Optional[int]]:
     """Per-source chaining in batch order.
 
-    This is the exact shape of both retired ad-hoc paths: the fabric
-    runner's ``last_on_host`` loop and the single-link ``after_flow``
-    chains (where every flow shares one source, so the whole batch
-    forms a single chain in declaration order).
+    On the single-link testbed every flow shares one source, so the
+    whole batch forms a single chain in declaration order.
     """
     after: List[Optional[int]] = []
     last_by_src: Dict[str, int] = {}

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
+
+
+@pytest.fixture(scope="session")
+def src_lint_result():
+    """One full lint of ``src/``, shared by every test that gates on it."""
+    from repro.lint import run_lint
+
+    return run_lint([str(Path(__file__).resolve().parents[1] / "src")])
 
 
 @pytest.fixture

@@ -33,10 +33,8 @@ class TestSrpt:
             < srpt.points["srpt"].mean_fct_s
         )
 
-    def test_deprecated_pfabric_spelling_resolves(self, srpt):
-        with pytest.deprecated_call():
-            point = srpt.point("pfabric")
-        assert point is srpt.points["srpt"]
+    def test_point_resolves_policy_spelling(self, srpt):
+        assert srpt.point(" SRPT ") is srpt.point("srpt") is srpt.points["srpt"]
 
     def test_makespans_comparable(self, srpt):
         """All three schedules keep the bottleneck busy; makespan is

@@ -43,10 +43,10 @@ class TestParetoSweep:
     def test_link_serialization_saves_energy(self, pareto):
         assert pareto.savings_vs_fair_percent("link", "serialized") > 0
 
-    def test_alias_spelling_resolves_to_srpt_point(self, pareto):
-        with pytest.deprecated_call():
-            point = pareto.point("link", "pfabric")
-        assert point is pareto.point("link", "srpt")
+    def test_point_resolves_policy_spelling(self, pareto):
+        point = pareto.point("link", "srpt")
+        assert point.policy == "srpt"
+        assert pareto.point("link", " SRPT ") is point
 
     def test_unknown_workload_rejected(self, pareto):
         with pytest.raises(ExperimentError, match="unknown workload"):

@@ -1,7 +1,6 @@
 """Unit tests for scenario descriptions and validation."""
 
 import json
-import warnings
 
 import pytest
 
@@ -16,30 +15,11 @@ class TestFlowSpec:
         flow = FlowSpec(1000)
         assert flow.cca == "cubic"
         assert flow.target_rate_bps is None
-        assert flow.after_flow is None
+        assert flow.uncap_after is None
 
     def test_size_validation(self):
         with pytest.raises(ExperimentError):
             FlowSpec(0)
-
-
-class TestKeywordOnlyDeprecation:
-    """Fields beyond the first are keyword-only after one release."""
-
-    def test_positional_flowspec_warns(self):
-        with pytest.warns(DeprecationWarning, match="total_bytes"):
-            flow = FlowSpec(1000, "bbr")
-        assert flow.cca == "bbr"  # still honored during the deprecation
-
-    def test_positional_scenario_warns(self):
-        with pytest.warns(DeprecationWarning, match="name"):
-            Scenario("x", [FlowSpec(1000)])
-
-    def test_keyword_construction_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            FlowSpec(1000, cca="bbr", after_flow=None)
-            Scenario("x", flows=[FlowSpec(1000)], mtu_bytes=1500)
 
 
 class TestCacheKey:
@@ -88,21 +68,30 @@ class TestScenarioValidation:
 
     def test_baseline_serialized_allowed(self):
         """Chained flows never share the link, so baseline is fine."""
-        Scenario(
+        scenario = Scenario(
             "ok",
-            flows=[
-                FlowSpec(1000, cca="baseline"),
-                FlowSpec(1000, cca="cubic", after_flow=0),
-            ],
+            flows=[FlowSpec(1000, cca="baseline"), FlowSpec(1000, cca="cubic")],
+            policy="serialized",
         )
+        assert scenario.policy == "serialized"
 
     def test_chain_bounds_checked(self):
-        with pytest.raises(ExperimentError):
-            Scenario("bad", flows=[FlowSpec(1000, after_flow=5)])
+        """``uncap_after`` must name a flow of the same scenario."""
+        flows = [FlowSpec(1000), FlowSpec(1000, uncap_after=5)]
+        with pytest.raises(ExperimentError, match="nonexistent flow 5"):
+            Scenario("bad", flows=flows)
+
+    def test_negative_uncap_index_rejected(self):
+        """-1 would otherwise index from the end: the last flow."""
+        flows = [FlowSpec(1000), FlowSpec(1000, uncap_after=-1)]
+        with pytest.raises(ExperimentError, match="nonexistent flow -1"):
+            Scenario("bad", flows=flows)
 
     def test_self_chain_rejected(self):
-        with pytest.raises(ExperimentError):
-            Scenario("bad", flows=[FlowSpec(1000, after_flow=0)])
+        """A flow cannot uncap on its own completion."""
+        flows = [FlowSpec(1000), FlowSpec(1000, uncap_after=1)]
+        with pytest.raises(ExperimentError, match="itself"):
+            Scenario("bad", flows=flows)
 
     def test_with_name(self):
         s = Scenario("a", flows=[FlowSpec(1000)])
@@ -114,8 +103,14 @@ class TestScenarioFromPlan:
     def test_fsti_plan_chains(self):
         plan = full_speed_then_idle(1000, gbps(10.0))
         scenario = scenario_from_plan("x", plan)
-        assert scenario.flows[0].after_flow is None
-        assert scenario.flows[1].after_flow == 0
+        assert scenario.policy == "serialized"
+        assert [f.start_time_s for f in scenario.flows] == [0.0, 0.0]
+
+    def test_fsti_plan_takes_an_explicit_policy(self):
+        plan = full_speed_then_idle(1000, gbps(10.0))
+        scenario = scenario_from_plan("x", plan, policy="fair")
+        assert scenario.policy == "fair"
+        assert [f.start_time_s for f in scenario.flows] == [0.0, 0.0]
 
     def test_limited_plan_keeps_caps_and_uncap(self):
         plans = fig1_allocations(1000, gbps(10.0), fractions=(0.8,))

@@ -170,8 +170,8 @@ class TestCleanFixtures:
 class TestSourceTreeGate:
     """The tier-1 gate: the shipped source must lint clean."""
 
-    def test_src_lints_clean(self):
-        result = run_lint([str(REPO_ROOT / "src")])
+    def test_src_lints_clean(self, src_lint_result):
+        result = src_lint_result
         assert result.clean, "\n".join(f.format() for f in result.findings)
         assert result.files_checked > 90
         assert result.rules_run == all_rule_names()

@@ -66,7 +66,18 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("fair", "serialized", "srpt", "deadline", "load-adaptive"):
             assert name in out
-        assert "retired spellings" in out
+        assert "retired spellings" not in out
+
+    def test_unknown_policy_is_a_usage_error(self, capsys):
+        """A removed spelling exits 2 with a one-line error, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["srpt", "--policy", "pfabric"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: unknown scheduling policy 'pfabric' (known: "
+        )
+        assert "srpt" in err and "Traceback" not in err
 
 
 class TestLintCommand:
@@ -162,9 +173,22 @@ class TestLintCommand:
         assert "0 findings" in out
         assert "absorbed by the baseline" in out
 
-    def test_default_path_is_src_and_clean(self, capsys, monkeypatch):
-        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    def test_default_path_is_src_and_clean(
+        self, capsys, monkeypatch, src_lint_result
+    ):
+        # The src/ lint itself is shared with the engine's gate test;
+        # this test checks what the CLI does with it.
+        import repro.lint
+
+        paths_seen = []
+
+        def spy(paths, **_kwargs):
+            paths_seen.append(list(paths))
+            return src_lint_result
+
+        monkeypatch.setattr(repro.lint, "run_lint", spy)
         assert main(["lint"]) == 0
+        assert paths_seen == [["src"]]
         assert "0 findings" in capsys.readouterr().out
 
 
