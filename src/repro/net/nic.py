@@ -86,6 +86,16 @@ class Nic:
         wakeup TCP Small Queues uses to resume a backpressured sender."""
         self._drain_listeners.append(callback)
 
+    def remove_drain_listener(self, callback: Callable[[], None]) -> None:
+        """Stop invoking ``callback`` on qdisc drains.
+
+        Copy-on-write: a drain already iterating the listeners finishes
+        over the old list, and the others keep their order.
+        """
+        listeners = list(self._drain_listeners)
+        listeners.remove(callback)
+        self._drain_listeners = listeners
+
     @property
     def bonded(self) -> bool:
         """Whether this NIC sprays across multiple physical links."""

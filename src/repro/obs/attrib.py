@@ -19,16 +19,20 @@ simulation (``obs-profile-no-sim-import`` bans the reverse import):
    their mean transfer rate; windows with no active flow accrue to the
    ``idle`` pseudo-entity.
 
-Every split assigns the final share by residual, so the attributed
-joules sum to the measured total *exactly* (the energy-additivity
-property test holds this to 1e-9). Results persist as one
-``flow_energy_j`` telemetry sample per entity, stamped with virtual
-time like every other probe channel.
+The split is one O(n log n) sweep over the sorted window edges with
+exact weight and prefix sums, and the last window's owner takes the
+final residual, so the attributed joules sum to the measured total
+*exactly* (the energy-additivity property test holds this to 1e-9).
+Results persist as one ``flow_energy_j`` telemetry sample per entity,
+stamped with virtual time like every other probe channel.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import ObservabilityError
@@ -80,6 +84,21 @@ def measurement_activities(
     ]
 
 
+def _fixed_point(values: Sequence[float]) -> Tuple[List[int], int]:
+    """``values`` times one power-of-two ``scale``, as exact ints.
+
+    A float is an int over a power of two, so scaling by the largest
+    denominator among ``values`` leaves every one a whole number. Sums
+    of these ints are exact; dividing one by ``scale`` rounds it once.
+    """
+    scale = max((value.as_integer_ratio()[1] for value in values), default=1)
+    fixed = [
+        num * scale // den
+        for num, den in (value.as_integer_ratio() for value in values)
+    ]
+    return fixed, scale
+
+
 def attribute_energy(
     activities: Sequence[FlowActivity],
     total_energy_j: float,
@@ -87,10 +106,16 @@ def attribute_energy(
 ) -> Dict[str, float]:
     """Split ``total_energy_j`` across flows by windowed throughput share.
 
-    Returns joules per entity (plus :data:`IDLE_ENTITY`); values sum to
-    ``total_energy_j`` exactly — every window's last share and the last
-    window's energy are assigned by residual rather than recomputed, so
-    no floating-point drift accumulates.
+    Returns joules per entity (plus :data:`IDLE_ENTITY`). One sweep over
+    the sorted window edges keeps the active set's weight sum, so the
+    cost is O(n log n) in the flow count: a flow's joules are its rate
+    weight times the sum of ``window_j / weight_sum`` over its windows,
+    read off a prefix sum. Weight and prefix sums are exact (fixed-point
+    ints): a sub-nanosecond flow's huge rate weight entering and leaving
+    the sum cannot wipe out the small weights beside it, and an exact
+    zero sum means every active flow moved zero bytes. The owner of the
+    last window (its last active flow, or idle) takes the residual, so
+    no floating-point drift accumulates in the total.
     """
     if duration_s <= 0:
         raise ObservabilityError(
@@ -99,41 +124,65 @@ def attribute_energy(
     result: Dict[str, float] = {a.entity: 0.0 for a in activities}
     if len(result) != len(activities):
         raise ObservabilityError("duplicate flow entities in attribution")
-    result[IDLE_ENTITY] = 0.0
 
-    bounds = {0.0, duration_s}
-    for activity in activities:
-        bounds.add(min(max(activity.start_s, 0.0), duration_s))
-        bounds.add(min(max(activity.end_s, 0.0), duration_s))
-    edges = sorted(bounds)
+    spans = [
+        (
+            min(max(a.start_s, 0.0), duration_s),
+            min(max(a.end_s, 0.0), duration_s),
+        )
+        for a in activities
+    ]
+    edges = sorted({0.0, duration_s, *(t for span in spans for t in span)})
+    windows = len(edges) - 1
 
-    remaining = total_energy_j
-    for i in range(len(edges) - 1):
-        t0, t1 = edges[i], edges[i + 1]
-        if t1 <= t0:
-            continue
-        if i == len(edges) - 2:
-            window_j = remaining  # the residual: windows sum exactly
-        else:
-            window_j = total_energy_j * (t1 - t0) / duration_s
-            remaining -= window_j
-        active = [
-            a for a in activities if a.start_s < t1 and a.end_s > t0
-        ]
+    # each flow is active on windows [lo, hi); zero-length flows and
+    # flows clipped out of the window are active on none
+    placed = [
+        (activity, bisect_left(edges, start), bisect_left(edges, end))
+        for activity, (start, end) in zip(activities, spans)
+        if start < end
+    ]
+    weights = [activity.rate_weight for activity, _, _ in placed]
+    fixed_weights, weight_scale = _fixed_point(weights)
+    weight_delta = [0] * (windows + 1)
+    count_delta = [0] * (windows + 1)
+    owner = IDLE_ENTITY  # takes the residual: the last window's last flow
+    for (activity, lo, hi), weight in zip(placed, fixed_weights):
+        weight_delta[lo] += weight
+        weight_delta[hi] -= weight
+        count_delta[lo] += 1
+        count_delta[hi] -= 1
+        if hi == windows:
+            owner = activity.entity
+
+    idle_j = 0.0
+    share_terms = [0.0] * windows  # window_j / weight_sum
+    even_terms = [0.0] * windows  # window_j / active, all-zero-byte windows
+    sweep = zip(
+        edges, edges[1:], accumulate(weight_delta), accumulate(count_delta)
+    )
+    for j, (t0, t1, weight_sum, active) in enumerate(sweep):
+        window_j = total_energy_j * (t1 - t0) / duration_s
         if not active:
-            result[IDLE_ENTITY] += window_j
-            continue
-        weight_sum = sum(a.rate_weight for a in active)
-        assigned = 0.0
-        for activity in active[:-1]:
-            if weight_sum > 0:
-                share = activity.rate_weight / weight_sum
-            else:
-                share = 1.0 / len(active)  # zero-byte flows split evenly
-            share_j = window_j * share
-            result[activity.entity] += share_j
-            assigned += share_j
-        result[active[-1].entity] += window_j - assigned
+            idle_j += window_j
+        elif weight_sum > 0:
+            share_terms[j] = window_j / (weight_sum / weight_scale)
+        else:
+            even_terms[j] = window_j / active  # zero-byte flows split evenly
+    fixed_shares, share_scale = _fixed_point(share_terms)
+    fixed_evens, even_scale = _fixed_point(even_terms)
+    share_prefix = [0, *accumulate(fixed_shares)]
+    even_prefix = [0, *accumulate(fixed_evens)]
+
+    for (activity, lo, hi), weight in zip(placed, weights):
+        result[activity.entity] = (
+            weight * ((share_prefix[hi] - share_prefix[lo]) / share_scale)
+            + (even_prefix[hi] - even_prefix[lo]) / even_scale
+        )
+    result[IDLE_ENTITY] = idle_j
+    result[owner] = total_energy_j - math.fsum(
+        joules for entity, joules in result.items() if entity != owner
+    )
     return result
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import TcpStateError
 from repro.net.host import Host
+from repro.net.nic import Nic
 from repro.net.packet import Packet, mss_for_mtu
 from repro.sim.engine import Event, Simulator
 from repro.sim.probe import (
@@ -172,6 +173,8 @@ class TcpSender:
         self.completed_at: Optional[float] = None
         self._on_complete: List[CompletionCallback] = []
         self._started = False
+        #: the NIC whose qdisc drains wake this sender, until it completes
+        self._drain_nic: Optional[Nic] = None
 
         host.register_flow(flow_id, self)
         self.cca: CongestionControl = cca_factory(self)
@@ -216,6 +219,7 @@ class TcpSender:
             # Wake on qdisc drain: releases TSQ backpressure and retries
             # after local drops.
             nic.add_drain_listener(self._on_qdisc_drain)
+            self._drain_nic = nic
         self._try_send()
 
     def _on_qdisc_drain(self) -> None:
@@ -740,6 +744,10 @@ class TcpSender:
             self._rto_timer.stop()
             if self._pacing_event is not None and self._pacing_event.alive:
                 self._pacing_event.cancel()
+            if self._drain_nic is not None:
+                # a complete sender has nothing left to send on a drain
+                self._drain_nic.remove_drain_listener(self._on_qdisc_drain)
+                self._drain_nic = None
             for callback in self._on_complete:
                 callback(self.sim.now)
 

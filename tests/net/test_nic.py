@@ -124,6 +124,36 @@ class TestPacedTransmitPath:
         sim.run()
         assert len(calls) >= 1
 
+    def test_listener_removed_mid_drain(self, sim):
+        calls = []
+        nic = Nic(
+            [make_iface(sim, Sink())],
+            mtu_bytes=9000,
+            sim=sim,
+            tx_packet_gap_s=1e-6,
+        )
+
+        def first():
+            calls.append("first")
+            nic.remove_drain_listener(first)
+
+        nic.add_drain_listener(first)
+        nic.add_drain_listener(lambda: calls.append("second"))
+        nic.add_drain_listener(lambda: calls.append("third"))
+        for _ in range(3):
+            nic.send(make_packet())
+        sim.run()
+        # removal during a drain skips none of the remaining listeners
+        # that drain, and later drains keep their order
+        assert calls == [
+            "first", "second", "third", "second", "third", "second", "third"
+        ]
+
+    def test_remove_unknown_listener_raises(self, sim):
+        nic = Nic([make_iface(sim, Sink())], sim=sim, tx_packet_gap_s=1e-6)
+        with pytest.raises(ValueError):
+            nic.remove_drain_listener(lambda: None)
+
     def test_unpaced_path_bypasses_qdisc(self, sim):
         sink = Sink()
         nic = Nic([make_iface(sim, sink)], mtu_bytes=9000)

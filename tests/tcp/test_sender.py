@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.apps.iperf import IperfSession, run_until_complete
 from repro.cc.registry import factory
 from repro.errors import TcpStateError
 from repro.net.packet import Packet
+from repro.net.topology import build_testbed
+from repro.sim.engine import Simulator
 from repro.tcp.sender import TcpSender
 
 
@@ -125,6 +128,35 @@ class TestCompletion:
         sender.handle_packet(ack(1460))
         sim.run()  # no timers should fire / hang
         assert sender.counters.get("rtos") == 0
+
+
+class TestDrainWakeups:
+    def test_complete_sender_leaves_the_nic_drain_listeners(
+        self, monkeypatch
+    ):
+        woken_complete = []
+        on_drain = TcpSender._on_qdisc_drain
+
+        def watched(sender):
+            if sender.complete:
+                woken_complete.append(sender.flow_id)
+            on_drain(sender)
+
+        monkeypatch.setattr(TcpSender, "_on_qdisc_drain", watched)
+        sim = Simulator()
+        testbed = build_testbed(sim)  # paced host qdisc: drains wake senders
+        short = IperfSession(testbed, total_bytes=50_000, flow_id=1)
+        bulk = IperfSession(testbed, total_bytes=2_000_000, flow_id=2)
+        nic = testbed.sender.nic
+        sim.run(until=1e-6)
+        assert len(nic._drain_listeners) == 2
+
+        run_until_complete(testbed, [short, bulk])
+        # the bulk flow kept the qdisc draining long after the short one
+        # finished, and none of those drains reached the short sender
+        assert short.sender.completed_at < bulk.sender.completed_at
+        assert woken_complete == []
+        assert nic._drain_listeners == []
 
 
 class TestEcnHandling:
